@@ -1,9 +1,10 @@
 //! Table 12 (new in this reproduction, no paper counterpart) — stream
 //! capacity of a fixed worker set: a ladder of concurrent open-loop
-//! streams driven against the pool twice per rung, once partitioned
-//! (thread-per-shard, `shards == threads`, static pinning) and once
-//! pooled (reactor, `shards == streams`, `reactor_threads == threads`),
-//! with the OS thread count identical in both modes. The table reports
+//! streams driven against the reactor pool twice per rung with
+//! `reactor_threads == threads` in both modes: once partitioned
+//! (per-shard, `shards == threads`, static pinning) and once pooled
+//! (`shards == streams`), so the OS thread count is identical and only
+//! the shard layout differs. The table reports
 //! p99 queue waits per rung and the measured capacity — the largest rung
 //! whose p99 wait stays under the target — beside the analytic
 //! partitioned/pooled predictions.
@@ -79,7 +80,7 @@ fn capacity_benchmark(c: &mut Criterion) {
     if smoke {
         if reactor < per_shard {
             eprintln!(
-                "reactor capacity regressed below thread-per-shard on the smoke ladder: \
+                "reactor capacity regressed below per-shard on the smoke ladder: \
                  {reactor} < {per_shard} streams at p99 wait <= {target_ms} ms"
             );
             std::process::exit(1);
@@ -87,7 +88,7 @@ fn capacity_benchmark(c: &mut Criterion) {
     } else if reactor < 4 * per_shard.max(1) {
         eprintln!(
             "reactor capacity fell below the 4x headline: {reactor} streams vs \
-             thread-per-shard {per_shard} at p99 wait <= {target_ms} ms"
+             per-shard {per_shard} at p99 wait <= {target_ms} ms"
         );
         std::process::exit(1);
     }

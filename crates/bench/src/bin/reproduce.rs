@@ -186,8 +186,8 @@ fn main() {
         );
     }
     if want("table12") {
-        // The fixed-worker-set capacity ladder: thread-per-shard vs the
-        // event-driven reactor at the same OS thread count.
+        // The fixed-worker-set capacity ladder: one shard per worker vs one
+        // shard per stream, on the same number of reactor threads.
         let (ladder, threads, key_frames): (&[usize], usize, usize) = match scale {
             ExperimentScale::Smoke => (&[2, 4], 2, 3),
             ExperimentScale::Default => (&[8, 16, 32], 8, 6),

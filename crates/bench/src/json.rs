@@ -1,9 +1,9 @@
 //! Minimal JSON export of the reproduced tables.
 //!
-//! The build environment has no registry access, so the vendored `serde` is
-//! marker-only and cannot serialize; this module hand-rolls the tiny subset
-//! of JSON the `reproduce` harness needs so CI can upload the run's numbers
-//! as a machine-readable artifact. The format is one object per table:
+//! The build environment has no registry access, so the workspace has no
+//! serde; this module hand-rolls the tiny subset of JSON the `reproduce`
+//! harness needs so CI can upload the run's numbers as a machine-readable
+//! artifact. The format is one object per table:
 //! `{"id": ..., "rows": [...], "columns": {"name": [numbers...]}}`.
 
 use crate::tables::TableOutput;

@@ -11,7 +11,7 @@ use shadowtutor::config::{DistillationMode, PlacementPolicy, ShadowTutorConfig};
 use shadowtutor::loadgen::{
     percentile, run_capacity_load, run_skewed_load, CapacityLoadSpec, PacedTeacher, SkewedLoadSpec,
 };
-use shadowtutor::runtime::live::{run_live_multi_with, ClientDriverMode, StreamSpec};
+use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
 use shadowtutor::serve::{FrameStore, PoolConfig, SessionWeights};
 use shadowtutor::stride::StridePolicy;
 use shadowtutor::ExperimentRecord;
@@ -479,7 +479,6 @@ pub fn table9_skewed(
             ShadowTutorConfig::paper(),
             PoolConfig {
                 shards: 1,
-                recv_timeout: Duration::from_millis(200),
                 ..PoolConfig::default_pool()
             },
             student.clone(),
@@ -628,7 +627,6 @@ pub fn table11_steal(
                     // still has a shard-mate to keep (donations stop once
                     // the colds retire and the hot session is alone).
                     steal_patience: Duration::from_millis(3),
-                    recv_timeout: Duration::from_millis(200),
                     // One forward per batch: co-scheduling would amortize
                     // the hot stream's excess away and hide the very
                     // imbalance this table measures.
@@ -723,14 +721,15 @@ pub fn table11_steal(
 /// capacity of a fixed worker set: how many concurrent open-loop streams
 /// the pool sustains while the p99 *queue wait* (client round trip minus
 /// mean service time) stays under `target_wait_ms`, with the OS thread
-/// count pinned at `threads` in both topologies.
+/// count pinned at `threads` in both topologies. Both run on the reactor
+/// with `reactor_threads == threads`; only the shard count differs.
 ///
-/// Thread-per-shard partitions the workers: `shards == threads`, each
-/// stream statically pinned (`StaticModulo`), so a burst on one shard
-/// queues behind that shard's other streams even while neighbour threads
-/// sit idle. The reactor pools them: `shards == streams` (one mostly-idle
-/// shard per stream) hosted by `reactor_threads == threads` event-driven
-/// workers, so any free thread takes any ready job. Work stealing stays
+/// Per-shard partitions the workers: `shards == threads`, so each worker
+/// effectively owns one shard and each stream is statically pinned
+/// (`StaticModulo`); a burst on one shard queues behind that shard's other
+/// streams even while neighbour threads sit idle. Pooled gives every stream
+/// its own mostly-idle shard (`shards == streams`), so any free thread takes
+/// any ready job. Work stealing stays
 /// off and batching is pinned to one frame per forward in BOTH modes —
 /// this table isolates partitioned-vs-pooled dispatch, not migration or
 /// amortization.
@@ -776,7 +775,7 @@ pub fn table12_capacity(
                 config,
                 PoolConfig {
                     shards: if reactor { streams } else { threads },
-                    reactor_threads: if reactor { Some(threads) } else { None },
+                    reactor_threads: Some(threads),
                     // Static pinning in both modes: stealing would
                     // partially pool the partitioned baseline and blur
                     // the comparison this table exists to make.
@@ -786,7 +785,6 @@ pub fn table12_capacity(
                     max_in_flight: 64,
                     max_batch: 1,
                     adaptive_batch: false,
-                    recv_timeout: Duration::from_millis(100),
                     ..PoolConfig::default_pool()
                 },
                 student.clone(),
@@ -846,7 +844,7 @@ pub fn table12_capacity(
     ];
     out.render(&format!(
         "Table 12 — stream capacity at p99 queue wait <= {target_wait_ms:.1} ms, {threads} threads \
-         (measured: thread-per-shard {cap_shard} vs reactor {cap_reactor}; \
+         (measured: per-shard {cap_shard} vs reactor {cap_reactor}; \
          model: {model_shard} vs {model_reactor})"
     ));
     out
@@ -959,7 +957,7 @@ pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -
                     ),
                 })
                 .collect();
-            run_live_multi_with(
+            run_live_multi(
                 config,
                 specs,
                 student.clone(),
@@ -969,7 +967,6 @@ pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -
                     ..PoolConfig::default_pool()
                 },
                 |shard| OracleTeacher::perfect(1350 + shard as u64),
-                ClientDriverMode::Multiplexed,
             )
             .expect("table13 run")
         };

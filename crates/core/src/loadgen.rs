@@ -376,8 +376,10 @@ impl CapacityLoadSpec {
 /// streams plus the pool's own statistics.
 #[derive(Debug)]
 pub struct CapacityLoadOutcome {
-    /// Client-observed round trips (send → update) of every serviced key
-    /// frame across all streams, seconds.
+    /// Client-observed round trips (due time → update) of every serviced
+    /// key frame across all streams, seconds. Timing starts when the key
+    /// frame was *due*, not when the driver got round to sending it, so a
+    /// late send counts its own lag as queueing.
     pub round_trips: Vec<f64>,
     /// `StudentUpdate`s received across all streams.
     pub updates: usize,
@@ -450,10 +452,12 @@ impl JitterRng {
 }
 
 /// Drive `spec.streams` uniform open-loop clients against the pool from
-/// **one** thread, multiplexing all endpoints — the client-side harness of
-/// the `table12_capacity` experiment, able to host hundreds of mostly-idle
-/// streams without an OS thread each (the thread-per-client
-/// [`run_skewed_load`] harness would hit thread limits first).
+/// **one** thread, multiplexing all endpoints through one
+/// [`st_net::Poller`] — the client-side harness of the `table12_capacity`
+/// experiment, able to host hundreds of mostly-idle streams without an OS
+/// thread each (the thread-per-client [`run_skewed_load`] harness would hit
+/// thread limits first). The driver parks on the poller until a downlink
+/// delivery wakes a stream or the next key frame falls due.
 ///
 /// Every stream sends `key_frames_per_stream` key frames at jittered
 /// intervals around `send_interval`, with randomized phases. Round trips,
@@ -486,6 +490,7 @@ where
 
     let mut rng = JitterRng::new(spec.seed);
     let interval = spec.send_interval.as_secs_f64();
+    let poller = st_net::Poller::new();
     let origin = Instant::now();
     let mut streams: Vec<OpenLoopStream> = Vec::with_capacity(spec.streams);
     for s in 0..spec.streams {
@@ -494,7 +499,7 @@ where
             spec.seed + s as u64,
             spec.key_frames_per_stream,
         );
-        let client = pool.connect(s as u64, &frames)?;
+        let client = pool.connect_with_waker(s as u64, &frames, Some(poller.waker(s)))?;
         // Random phase in [0, interval): without it all streams would fire
         // in lockstep and the first tick would measure a thundering herd
         // instead of steady-state queueing.
@@ -523,14 +528,14 @@ where
     let mut drain_deadline: Option<Instant> = None;
     loop {
         let now = Instant::now();
-        let mut all_sent = true;
+        let mut next_due: Option<Instant> = None;
         let mut any_outstanding = false;
         for stream in streams.iter_mut() {
             while stream.cursor < stream.frames.len() && now >= stream.next_send {
                 let frame = &stream.frames[stream.cursor];
                 let payload = Payload::sized(frame.raw_rgb_bytes());
                 let bytes = payload.bytes;
-                stream.sent_at.insert(frame.index, Instant::now());
+                stream.sent_at.insert(frame.index, stream.next_send);
                 stream
                     .client
                     .send(
@@ -570,25 +575,28 @@ where
                 )?;
             }
             if stream.cursor < stream.frames.len() {
-                all_sent = false;
+                next_due = Some(next_due.map_or(stream.next_send, |due| due.min(stream.next_send)));
             }
-            if stream.outstanding > 0 {
-                any_outstanding = true;
-            }
+            any_outstanding |= stream.outstanding > 0;
         }
-        if all_sent {
-            if !any_outstanding {
-                break;
+        let wake_by = match next_due {
+            Some(due) => due,
+            None if !any_outstanding => break,
+            // Everything is sent. The pool answers every key frame; bound
+            // the tail drain anyway so a lost ack cannot hang the bench.
+            None => {
+                let deadline =
+                    *drain_deadline.get_or_insert_with(|| Instant::now() + Duration::from_secs(30));
+                if Instant::now() >= deadline {
+                    break;
+                }
+                deadline
             }
-            // The pool answers every key frame; bound the tail drain anyway
-            // so a lost ack cannot hang the bench.
-            let deadline =
-                *drain_deadline.get_or_insert_with(|| Instant::now() + Duration::from_secs(30));
-            if Instant::now() >= deadline {
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_micros(500));
+        };
+        // Park until a downlink delivery wakes a stream's token or the next
+        // key frame falls due. A wake that races a message already drained
+        // above only costs one extra scan.
+        poller.poll(wake_by.saturating_duration_since(Instant::now()));
     }
 
     let mut outcome_round_trips = Vec::new();
@@ -741,7 +749,6 @@ mod tests {
                 shards: 12,
                 reactor_threads: Some(2),
                 max_in_flight: 64,
-                recv_timeout: Duration::from_millis(100),
                 ..PoolConfig::default_pool()
             },
             student,
@@ -818,7 +825,6 @@ mod tests {
             ShadowTutorConfig::paper(),
             PoolConfig {
                 shards: 1,
-                recv_timeout: Duration::from_millis(200),
                 // Room for two frames per stream; each stream pre-shares
                 // six, so most key frames hit an evicted slot and must be
                 // recovered through NeedFrame → ReShare. Parked jobs hold
@@ -860,7 +866,6 @@ mod tests {
             ShadowTutorConfig::paper(),
             PoolConfig {
                 shards: 1,
-                recv_timeout: Duration::from_millis(200),
                 ..PoolConfig::default_pool()
             },
             StudentNet::new(StudentConfig::tiny()).unwrap(),

@@ -11,12 +11,11 @@
 //! without re-running distillation per bandwidth point.
 
 use crate::config::ShadowTutorConfig;
-use serde::{Deserialize, Serialize};
 use st_net::{LinkModel, Wire, WireError};
 use st_sim::{Concurrency, LatencyProfile};
 
 /// Per-frame record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameRecord {
     /// Frame index in the stream.
     pub index: usize,
@@ -31,7 +30,7 @@ pub struct FrameRecord {
 }
 
 /// Per-key-frame record (the distillation trace).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeyFrameRecord {
     /// Frame index of the key frame.
     pub frame_index: usize,
@@ -46,7 +45,7 @@ pub struct KeyFrameRecord {
 }
 
 /// A complete record of one experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
     /// Label of the video / experiment (e.g. `"fixed/animals"`).
     pub label: String,
@@ -315,7 +314,7 @@ impl Wire for ExperimentRecord {
 /// elastic it was (steals in/out, forwarded traffic), how the frame-memory
 /// bound behaved (evictions, re-shares, peak resident bytes), and what its
 /// clients experienced (p50/p99 queue waits, drops, throttles).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
     /// Shard index.
     pub shard: usize,
@@ -376,10 +375,10 @@ pub struct ShardReport {
 /// The serializable operator report condensed from a pool run
 /// (`PoolStats::snapshot()` in `shadowtutor::serve`).
 ///
-/// The vendored `serde` is marker-only (no registry access in the build
+/// The workspace has no serde (no registry access in the build
 /// environment), so [`PoolReport::to_json`] hand-rolls the export; the
 /// schema is one object with a `shards` array and a `totals` object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolReport {
     /// Per-shard rows, indexed by shard.
     pub shards: Vec<ShardReport>,

@@ -11,7 +11,9 @@
 //!   virtual cost is amortized across the batch, and then each stream's
 //!   session distills its own student on its own pseudo-label. Streams never
 //!   share weights — isolation is structural.
-//! * [`ServerPool`] spawns one worker thread per shard, places streams on
+//! * [`ServerPool`] hosts every shard's state machine on a fixed set of
+//!   event-driven reactor threads (one per shard unless
+//!   [`PoolConfig::reactor_threads`] says otherwise), places streams on
 //!   shards per [`PlacementPolicy`] (least-loaded by default, static
 //!   `id % shards` for reproducibility), and funnels each client's uplink
 //!   into the owning shard's queue as [`st_net::StreamTagged`] traffic.
@@ -109,11 +111,10 @@ fn locked<T: ?Sized>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// Faults are injected at well-defined points of the shard state machine —
 /// a *kill* is a plain `panic!` raised inside
 /// `ShardState::process_one_batch`, so a crash is reproducible from a
-/// config value instead of requiring unsafe thread murder. Under the
-/// thread-per-shard driver the kill unwinds while the worker holds its
-/// hosted-state lock, so the plan also exercises the poisoned-lock
-/// recovery path for free. `FaultPlan::none()` (the default) injects
-/// nothing and costs one branch per batch.
+/// config value instead of requiring unsafe thread murder. The reactor
+/// catches the unwind per pass, so the hosting thread keeps serving its
+/// other shards while the standby adopts the carcass. `FaultPlan::none()`
+/// (the default) injects nothing and costs one branch per batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Tags the schedule so a chaos run is pinnable and reportable (CI pins
@@ -202,15 +203,13 @@ pub enum SessionWeights {
 /// Configuration of a [`ServerPool`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolConfig {
-    /// Number of shards (worker threads).
+    /// Number of shards (independent shard state machines, each with its
+    /// own teacher and uplink queue).
     pub shards: usize,
     /// Ceiling on key frames co-scheduled into one batched teacher forward.
     /// With `adaptive_batch` the live window starts at 1 and moves with the
     /// backlog, never exceeding this.
     pub max_batch: usize,
-    /// How long a worker blocks waiting for traffic before re-checking for
-    /// shutdown (also the bound on how stale a dead client can leave a shard).
-    pub recv_timeout: Duration,
     /// How new streams are assigned to shards.
     pub placement: PlacementPolicy,
     /// Per-stream admission cap: at most this many key frames of one stream
@@ -233,23 +232,22 @@ pub struct PoolConfig {
     /// How often an idle worker re-checks the steal registry (and its
     /// migration mailbox) when work stealing is enabled
     /// ([`PlacementPolicy::Rebalance`]). Bounds how long an idle shard can
-    /// overlook a drowning one; ignored by non-stealing pools, which block
-    /// for the full `recv_timeout`.
+    /// overlook a drowning one; ignored by non-stealing pools.
     pub steal_poll: Duration,
     /// How long a worker must sit continuously idle (no queued jobs) before
     /// it posts a steal request. A shard merely between its own streams'
     /// arrivals should serve them itself; only a genuinely idle shard
     /// should pull another shard's streams over.
     pub steal_patience: Duration,
-    /// Run the pool as an event-driven **reactor**: `Some(n)` hosts all
-    /// `shards` shard state machines on a fixed set of `n` worker threads
-    /// driven by readiness wakeups ([`st_net::Poller`]) and a hierarchical
-    /// timer wheel ([`crate::timer::TimerWheel`]), decoupling shard count
-    /// from thread count — `shards: 64` with `reactor_threads: Some(4)` is a
-    /// valid configuration. `None` (the default) keeps the classic
-    /// one-OS-thread-per-shard blocking loop. Both drivers run the *same*
-    /// shard state machine, so serving behaviour is identical; what changes
-    /// is how many mostly-idle streams one process can host.
+    /// Size of the reactor's worker set. The pool hosts all `shards` shard
+    /// state machines on a fixed set of worker threads driven by readiness
+    /// wakeups ([`st_net::Poller`]) and a hierarchical timer wheel
+    /// ([`crate::timer::TimerWheel`]), decoupling shard count from thread
+    /// count: `Some(n)` runs `n` workers, so `shards: 64` with
+    /// `reactor_threads: Some(4)` is a valid configuration. `None` (the
+    /// default) runs one worker per shard. The thread count changes how many
+    /// mostly-idle streams one process can host, never what a stream is
+    /// served.
     pub reactor_threads: Option<usize>,
     /// Replicate every stream's session checkpoint (student weights +
     /// distillation counters + scheduler deficit) to a shared
@@ -287,7 +285,6 @@ impl PoolConfig {
         PoolConfig {
             shards: 2,
             max_batch: 4,
-            recv_timeout: Duration::from_secs(30),
             placement: PlacementPolicy::default(),
             max_in_flight: 4,
             quantum: 1,
@@ -307,19 +304,6 @@ impl PoolConfig {
     pub fn with_shards(shards: usize) -> Self {
         PoolConfig {
             shards,
-            ..Self::default_pool()
-        }
-    }
-
-    /// A reactor pool: `shards` shard state machines hosted on one worker
-    /// thread per available CPU (the many-mostly-idle-streams configuration).
-    pub fn reactor(shards: usize) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        PoolConfig {
-            shards,
-            reactor_threads: Some(threads),
             ..Self::default_pool()
         }
     }
@@ -359,7 +343,7 @@ impl PoolConfig {
         }
         if self.reactor_threads == Some(0) {
             return Err(TensorError::InvalidArgument(
-                "reactor_threads must be at least 1 (use None for thread-per-shard)".into(),
+                "reactor_threads must be at least 1 (use None for one per shard)".into(),
             ));
         }
         if let Some(target) = self.fault_plan.target {
@@ -521,16 +505,12 @@ pub struct ShardStats {
     /// migrated and were forwarded to the stream's current shard.
     pub forwarded_messages: usize,
     /// Handler events dispatched on this shard: uplink envelopes, adopted
-    /// migrations and timer fires. The reactor's measure of loop work (the
-    /// legacy driver counts envelopes and migrations the same way, so the
-    /// two modes are comparable).
+    /// migrations and timer fires — the reactor's measure of loop work.
     pub events_dispatched: usize,
-    /// Timer-wheel fires dispatched to this shard (reactor only: steal
-    /// ticks and NeedFrame retries; 0 under the thread-per-shard driver).
+    /// Timer-wheel fires dispatched to this shard (steal ticks and
+    /// NeedFrame retries).
     pub timer_fires: usize,
-    /// Readiness wakeups that dispatched a pass on this shard (reactor
-    /// only; 0 under the thread-per-shard driver, which blocks in
-    /// `recv_timeout` instead).
+    /// Readiness wakeups that dispatched a pass on this shard.
     pub poll_wakeups: usize,
     /// Peak count of *idle* streams — registered sessions with no queued
     /// key frame — observed on this shard. The reactor's reason to exist:
@@ -2349,11 +2329,10 @@ impl FailoverBoard {
 /// checkpoint-replica store.
 ///
 /// `states[i]` hosts shard *i*'s machine until the shard finishes (slot
-/// emptied) or dies (the carcass stays in the slot for its standby). Under
-/// the thread-per-shard driver each worker holds its own slot's guard for
-/// its whole life, so the only way in for a standby is after the owner
-/// died — unwinding poisons the mutex, which [`locked`] deliberately
-/// recovers.
+/// emptied) or dies (the carcass stays in the slot for its standby). A
+/// reactor worker holds a slot's guard only for one pass, and a dying pass
+/// unwinds inside `catch_unwind` before the guard drops, so the standby
+/// finds the carcass in an unpoisoned slot.
 struct FailoverShared<T: Teacher> {
     states: Vec<Mutex<Option<ShardState<T>>>>,
     board: Arc<FailoverBoard>,
@@ -2373,11 +2352,9 @@ pub struct StreamClient {
     /// migrations store the new shard here).
     route: Route,
     downlink: crossbeam::channel::Receiver<(usize, ServerToClient)>,
-    /// Reactor pools: per-shard wakers, indexed like `uplinks`. Every
-    /// uplink send wakes the owning shard's token so a reactor worker
-    /// dispatches it; `None` under the thread-per-shard driver, whose
-    /// workers block in `recv_timeout` instead.
-    shard_wakers: Option<Arc<Vec<st_net::Waker>>>,
+    /// Per-shard wakers, indexed like `uplinks`. Every uplink send wakes
+    /// the owning shard's token so a reactor worker dispatches it.
+    shard_wakers: Arc<Vec<st_net::Waker>>,
     /// Pool-wide measured-traffic counters (this client credits uplink).
     wire: Arc<WireMeter>,
     /// Failover blackboard, consulted by [`ClientEndpoint::reconnect`]: a
@@ -2437,9 +2414,7 @@ impl StreamClient {
         // ORDER: Relaxed — a monotonic traffic counter; readers only see it
         // after join() synchronizes with every worker's exit.
         self.wire.up.fetch_add(wire_len, Ordering::Relaxed);
-        if let Some(wakers) = &self.shard_wakers {
-            wakers[shard].wake();
-        }
+        self.shard_wakers[shard].wake();
         Ok(())
     }
 }
@@ -2499,13 +2474,11 @@ impl ClientEndpoint for StreamClient {
 
 /// A sharded pool of distillation workers serving many client streams.
 ///
-/// Two drivers are available, selected by
-/// [`PoolConfig::reactor_threads`]: the classic one-OS-thread-per-shard
-/// blocking loop (`None`), and the event-driven reactor (`Some(n)`), which
-/// hosts all shard state machines on a fixed set of `n` threads woken by
-/// send-side readiness tokens and a hierarchical timer wheel. Both run the
-/// same `ShardState` machine, so a stream cannot tell which driver served
-/// it.
+/// An event-driven reactor hosts every shard's `ShardState` machine on a
+/// fixed set of worker threads ([`PoolConfig::reactor_threads`], one per
+/// shard by default), woken by send-side readiness tokens and a
+/// hierarchical timer wheel. The worker count never changes what a stream
+/// is served.
 pub struct ServerPool {
     pool_config: PoolConfig,
     uplinks: Arc<Vec<crossbeam::channel::Sender<Envelope>>>,
@@ -2518,17 +2491,16 @@ pub struct ServerPool {
     /// reserved for the pool's lifetime; reconnecting a finished id needs a
     /// new pool.
     placements: Placements,
-    /// One handle per OS thread. Thread-per-shard: `shards` handles, each
-    /// returning its own shard's output. Reactor: `reactor_threads`
-    /// handles, each returning the outputs of whichever shards it finalized.
+    /// One handle per reactor worker thread, each returning the outputs of
+    /// whichever shards it finalized.
     workers: Vec<std::thread::JoinHandle<Result<Vec<ShardOutput>>>>,
     /// Measured wire traffic for the whole pool, shared with every
     /// [`StreamClient`] (uplink) and [`Downlink`] (downlink).
     wire: Arc<WireMeter>,
-    /// Reactor pools: per-shard readiness wakers. `join` wakes every shard
-    /// once the uplinks are dropped so each one observes the disconnect and
-    /// runs its exit protocol.
-    shard_wakers: Option<Arc<Vec<st_net::Waker>>>,
+    /// Per-shard readiness wakers. `join` wakes every shard once the
+    /// uplinks are dropped so each one observes the disconnect and runs its
+    /// exit protocol.
+    shard_wakers: Arc<Vec<st_net::Waker>>,
     /// Failover blackboard: worker deaths, adoption claims, and the dead
     /// shards' standby-assembled final outputs.
     board: Arc<FailoverBoard>,
@@ -2541,9 +2513,10 @@ pub struct ServerPool {
 }
 
 impl ServerPool {
-    /// Spawn `pool_config.shards` worker threads. Each shard gets its own
-    /// teacher from `teacher_factory(shard_index)` and serves sessions cloned
-    /// from `template`.
+    /// Spawn the pool: `pool_config.shards` shard state machines hosted by
+    /// the reactor's worker threads. Each shard gets its own teacher from
+    /// `teacher_factory(shard_index)` and serves sessions cloned from
+    /// `template`.
     pub fn spawn<T, F>(
         config: ShadowTutorConfig,
         pool_config: PoolConfig,
@@ -2573,83 +2546,14 @@ impl ServerPool {
         let replicas = pool_config
             .replication
             .then(|| Arc::new(ReplicaStore::new(pool_config.shards, Arc::clone(&store))));
+        // All shard state machines live behind mutexes, hosted by a fixed
+        // worker set woken by readiness tokens (one token per shard) and a
+        // shared timer wheel.
+        let poller = st_net::Poller::new();
+        let shard_wakers: Arc<Vec<st_net::Waker>> =
+            Arc::new((0..pool_config.shards).map(|i| poller.waker(i)).collect());
         let mut uplinks = Vec::with_capacity(pool_config.shards);
         let mut registries = Vec::with_capacity(pool_config.shards);
-        let mut workers = Vec::new();
-        if let Some(threads) = pool_config.reactor_threads {
-            // Reactor driver: all shard state machines live behind mutexes,
-            // hosted by a fixed worker set woken by readiness tokens (one
-            // token per shard) and a shared timer wheel.
-            let poller = st_net::Poller::new();
-            let shard_wakers: Arc<Vec<st_net::Waker>> =
-                Arc::new((0..pool_config.shards).map(|i| poller.waker(i)).collect());
-            let mut states = Vec::with_capacity(pool_config.shards);
-            for shard_index in 0..pool_config.shards {
-                let (tx, rx) = crossbeam::channel::unbounded::<Envelope>();
-                let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
-                let shard = ServeShard::new(
-                    config,
-                    template.clone(),
-                    teacher_factory(shard_index),
-                    distill_step_latency,
-                )
-                .with_session_weights(pool_config.session_weights);
-                states.push(Mutex::new(Some(ShardState::new(
-                    shard,
-                    rx,
-                    Arc::clone(&registry),
-                    pool_config,
-                    shard_index,
-                    Arc::clone(&steal),
-                    Arc::clone(&placements),
-                    Some(Arc::clone(&shard_wakers)),
-                    Arc::clone(&board),
-                    replicas.clone(),
-                ))));
-                uplinks.push(tx);
-                registries.push(registry);
-            }
-            let failover = Arc::new(FailoverShared {
-                states,
-                board: Arc::clone(&board),
-                replicas,
-            });
-            let shared = Arc::new(ReactorShared {
-                failover,
-                poller,
-                timers: Mutex::new(TimerWheel::new(Instant::now(), Duration::from_millis(1))),
-                aborted: AtomicBool::new(false),
-                rerun: (0..pool_config.shards)
-                    .map(|_| AtomicBool::new(false))
-                    .collect(),
-                shard_wakers: Arc::clone(&shard_wakers),
-                steal_poll: pool_config.steal_poll,
-            });
-            for _ in 0..threads {
-                let shared = Arc::clone(&shared);
-                workers.push(std::thread::spawn(move || run_reactor_worker(shared)));
-            }
-            // Kick every shard once so each runs an initial pass. Without
-            // this, a shard that never receives traffic would also never
-            // join the steal protocol (the idle tick chain is armed by
-            // passes, and passes are armed by wakes).
-            for waker in shard_wakers.iter() {
-                waker.wake();
-            }
-            return Ok(ServerPool {
-                pool_config,
-                uplinks: Arc::new(uplinks),
-                registries,
-                steal,
-                placements,
-                workers,
-                shard_wakers: Some(shard_wakers),
-                wire,
-                board,
-                store,
-                template_checkpoint: Some(template_checkpoint),
-            });
-        }
         let mut states = Vec::with_capacity(pool_config.shards);
         for shard_index in 0..pool_config.shards {
             let (tx, rx) = crossbeam::channel::unbounded::<Envelope>();
@@ -2669,7 +2573,7 @@ impl ServerPool {
                 shard_index,
                 Arc::clone(&steal),
                 Arc::clone(&placements),
-                None,
+                Arc::clone(&shard_wakers),
                 Arc::clone(&board),
                 replicas.clone(),
             ))));
@@ -2681,11 +2585,30 @@ impl ServerPool {
             board: Arc::clone(&board),
             replicas,
         });
-        for shard_index in 0..pool_config.shards {
-            let worker_failover = Arc::clone(&failover);
-            workers.push(std::thread::spawn(move || {
-                run_hosted_worker(worker_failover, shard_index, pool_config)
-            }));
+        let shared = Arc::new(ReactorShared {
+            failover,
+            poller,
+            timers: Mutex::new(TimerWheel::new(Instant::now(), Duration::from_millis(1))),
+            aborted: AtomicBool::new(false),
+            rerun: (0..pool_config.shards)
+                .map(|_| AtomicBool::new(false))
+                .collect(),
+            shard_wakers: Arc::clone(&shard_wakers),
+            steal_poll: pool_config.steal_poll,
+        });
+        let threads = pool_config.reactor_threads.unwrap_or(pool_config.shards);
+        let workers = (0..threads)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || run_reactor_worker(shared))
+            })
+            .collect();
+        // Kick every shard once so each runs an initial pass. Without this,
+        // a shard that never receives traffic would also never join the
+        // steal protocol (the idle tick chain is armed by passes, and passes
+        // are armed by wakes).
+        for waker in shard_wakers.iter() {
+            waker.wake();
         }
         Ok(ServerPool {
             pool_config,
@@ -2694,7 +2617,7 @@ impl ServerPool {
             steal,
             placements,
             workers,
-            shard_wakers: None,
+            shard_wakers,
             wire,
             board,
             store,
@@ -2824,7 +2747,7 @@ impl ServerPool {
             uplinks: Arc::clone(&self.uplinks),
             route,
             downlink: down_rx,
-            shard_wakers: self.shard_wakers.clone(),
+            shard_wakers: Arc::clone(&self.shard_wakers),
             wire: Arc::clone(&self.wire),
             board: Arc::clone(&self.board),
             downlink_closed: false,
@@ -2866,13 +2789,11 @@ impl ServerPool {
     pub fn join(mut self) -> std::result::Result<PoolStats, PoolError> {
         drop(self.uplinks);
         drop(self.registries);
-        // Reactor shards park until a token wakes them; with the uplinks now
-        // gone, one wake per shard is enough for each to observe the
-        // disconnect and run its exit protocol.
-        if let Some(wakers) = &self.shard_wakers {
-            for waker in wakers.iter() {
-                waker.wake();
-            }
+        // Shards park until a token wakes them; with the uplinks now gone,
+        // one wake per shard is enough for each to observe the disconnect
+        // and run its exit protocol.
+        for waker in self.shard_wakers.iter() {
+            waker.wake();
         }
         let shards = self.pool_config.shards;
         let mut outputs: Vec<ShardOutput> = Vec::with_capacity(shards);
@@ -2880,9 +2801,9 @@ impl ServerPool {
             match worker.join() {
                 Ok(result) => outputs.extend(result?),
                 // A panic that escaped the worker's own catch_unwind (e.g.
-                // in the reactor's timer plumbing). Thread index equals
-                // shard index only under the thread-per-shard driver, but
-                // it is the best attribution available here.
+                // in the reactor's timer plumbing). Workers are not tied to
+                // shards, so the worker index is only the best attribution
+                // available here.
                 Err(payload) => {
                     return Err(PoolError::WorkerFailed {
                         shard: worker_index,
@@ -2898,7 +2819,7 @@ impl ServerPool {
             return Err(PoolError::WorkerFailed { shard, panic_msg });
         }
         // Reactor workers finalize shards in completion order; present the
-        // report in shard order regardless of driver.
+        // report in shard order.
         outputs.sort_by_key(|output| output.shard);
         // Measure the store *before* releasing the template pin, so the
         // report reflects what the run actually held resident.
@@ -2965,8 +2886,8 @@ type AwaitingFrames = HashMap<StreamId, HashMap<usize, Vec<ScheduledJob>>>;
 /// stream's downlink. Jobs whose frame content was evicted are parked in
 /// `awaiting` rather than counted — their wait keeps running until they are
 /// actually served after the re-share. Every *newly sent* `NeedFrame`
-/// request is appended to `need_frames_sent` so the reactor driver can arm
-/// a retry timer for it (the legacy driver ignores the list).
+/// request is appended to `need_frames_sent` so the reactor can arm a retry
+/// timer for it.
 ///
 /// Returns the streams whose session state advanced (an update was
 /// computed), i.e. exactly the set whose checkpoint replicas are now stale
@@ -3202,7 +3123,7 @@ fn maybe_donate<T: Teacher>(
     steal: &StealRegistry,
     placements: &Placements,
     shard_index: usize,
-    shard_wakers: Option<&[st_net::Waker]>,
+    shard_wakers: &[st_net::Waker],
 ) {
     // The donated stream's id crosses from the prepare callback to the
     // delivered callback (which flips its route under the same slot lock).
@@ -3273,26 +3194,18 @@ fn maybe_donate<T: Teacher>(
         },
     );
     if let FulfilOutcome::Delivered { thief } = outcome {
-        // Under the reactor, the thief may be asleep in the poller rather
-        // than spinning on its steal tick — hand it the wakeup with the
-        // stream.
-        if let Some(wakers) = shard_wakers {
-            wakers[thief].wake();
-        }
+        // The thief may be asleep in the poller rather than waiting on its
+        // steal tick — hand it the wakeup with the stream.
+        shard_wakers[thief].wake();
     }
 }
 
 /// All of one shard's serving state and its event handlers: uplink receiver,
 /// fair scheduler, adaptive batcher, per-stream downlinks and meters, parked
-/// re-share jobs, steal-protocol bookkeeping, and the exit protocol. Both
-/// pool drivers run exactly this state machine:
-///
-/// * the **thread-per-shard** driver ([`run_worker`]) wraps one `ShardState`
-///   in a blocking loop, parking in `recv_timeout` between arrivals;
-/// * the **reactor** driver ([`run_reactor_worker`]) hosts every shard's
-///   `ShardState` behind a mutex on a fixed worker set, running
-///   [`run_pass`](Self::run_pass) whenever the shard's readiness token wakes
-///   or one of its timers fires.
+/// re-share jobs, steal-protocol bookkeeping, and the exit protocol. The
+/// reactor ([`run_reactor_worker`]) hosts every shard's `ShardState` behind
+/// a mutex on a fixed worker set, running [`run_pass`](Self::run_pass)
+/// whenever the shard's readiness token wakes or one of its timers fires.
 ///
 /// The handlers mirror the event sources: [`on_frame`](Self::on_frame) for
 /// an uplink envelope, [`on_migration`](Self::on_migration) for a mailbox
@@ -3307,10 +3220,10 @@ struct ShardState<T: Teacher> {
     registry: Registry,
     steal: Arc<StealRegistry>,
     placements: Placements,
-    /// Reactor pools: one waker per shard, used to nudge the owner of
-    /// forwarded traffic, the thief of a donated stream, and ourselves when
-    /// a pass leaves backlog behind. `None` under the legacy driver.
-    shard_wakers: Option<Arc<Vec<st_net::Waker>>>,
+    /// One waker per shard, used to nudge the owner of forwarded traffic,
+    /// the thief of a donated stream, and ourselves when a pass leaves
+    /// backlog behind.
+    shard_wakers: Arc<Vec<st_net::Waker>>,
     scheduler: FairScheduler,
     batcher: AdaptiveBatch,
     downlinks: HashMap<StreamId, Downlink>,
@@ -3331,7 +3244,7 @@ struct ShardState<T: Teacher> {
     batch_limit_peak: usize,
     disconnected: bool,
     /// `NeedFrame` requests sent during the current pass; the reactor arms
-    /// a retry timer for each (the legacy driver clears and ignores them).
+    /// a retry timer for each.
     need_frames_sent: Vec<(StreamId, usize)>,
     /// True while a steal-poll `Tick` timer is armed for this shard, so idle
     /// passes do not stack duplicate ticks.
@@ -3375,8 +3288,8 @@ struct ShardState<T: Teacher> {
     session_private_peak: usize,
 }
 
-/// What one [`ShardState::run_pass`] left behind, telling the reactor driver
-/// which follow-up events to arm.
+/// What one [`ShardState::run_pass`] left behind, telling the reactor which
+/// follow-up events to arm.
 struct PassOutcome {
     /// The shard ran its exit protocol to completion; the state can be
     /// finalized with [`ShardState::finish`].
@@ -3403,7 +3316,7 @@ impl<T: Teacher> ShardState<T> {
         shard_index: usize,
         steal: Arc<StealRegistry>,
         placements: Placements,
-        shard_wakers: Option<Arc<Vec<st_net::Waker>>>,
+        shard_wakers: Arc<Vec<st_net::Waker>>,
         board: Arc<FailoverBoard>,
         replicas: Option<Arc<ReplicaStore>>,
     ) -> Self {
@@ -3591,9 +3504,7 @@ impl<T: Teacher> ShardState<T> {
                             self.forwarded += 1;
                             // The owner may be parked; hand-delivered mail
                             // still needs a doorbell.
-                            if let Some(wakers) = &self.shard_wakers {
-                                wakers[other].wake();
-                            }
+                            self.shard_wakers[other].wake();
                         }
                         Err(undelivered) if self.board.is_dead(other) => {
                             // The owner died and its standby is mid-takeover
@@ -3866,7 +3777,7 @@ impl<T: Teacher> ShardState<T> {
             &self.steal,
             &self.placements,
             self.shard_index,
-            self.shard_wakers.as_deref().map(Vec::as_slice),
+            &self.shard_wakers,
         );
         if self.scheduler.is_empty() {
             let idle_for = self.idle_since.get_or_insert_with(Instant::now).elapsed();
@@ -3966,8 +3877,7 @@ impl<T: Teacher> ShardState<T> {
     }
 
     /// Record the high-water mark of registered-but-quiet streams — the
-    /// population a reactor host carries for free and a thread-per-shard
-    /// host pays a parked OS thread for.
+    /// population a reactor host carries without a parked OS thread each.
     fn note_idle_streams(&mut self) {
         let idle = self
             .shard
@@ -4023,8 +3933,8 @@ impl<T: Teacher> ShardState<T> {
     /// its surviving jobs, drop-ack what is genuinely lost, and assemble
     /// its final report from the carcass.
     fn take_over(&mut self, dead: usize, failover: &FailoverShared<T>) -> Result<()> {
-        // The carcass: the dead worker's state machine, left in its slot by
-        // the unwind. `locked` recovers the poison the unwind left behind.
+        // The carcass: the dead shard's state machine, left in its slot by
+        // the caught unwind (`locked` would also recover a poisoned slot).
         // An empty slot means the shard actually finished cleanly and the
         // death raced the exit — nothing to adopt.
         let Some(mut carcass) = locked(&failover.states[dead]).take() else {
@@ -4191,8 +4101,7 @@ impl<T: Teacher> ShardState<T> {
     /// One non-blocking pass of the shard state machine: failover tick,
     /// mailbox, deferred retries, uplink drain, envelope handlers, steal
     /// participation, one co-scheduled batch. This is the reactor's
-    /// dispatch unit; the legacy driver runs the same stages inline so it
-    /// can block between them.
+    /// dispatch unit.
     fn run_pass(&mut self, failover: &FailoverShared<T>) -> Result<PassOutcome> {
         self.need_frames_sent.clear();
         // After the clear, never before: a takeover pushes NeedFrame
@@ -4380,144 +4289,19 @@ fn carcass_output<T: Teacher>(state: ShardState<T>) -> ShardOutput {
     }
 }
 
-/// The thread-per-shard worker: run the blocking loop under
-/// `catch_unwind`, so a shard death (injected or real) is published on the
-/// failover board instead of silently truncating the pool's report. The
-/// unwind drops the loop's state-slot guard, poisoning the mutex and
-/// leaving the carcass in place — exactly what the standby's takeover
-/// expects to find.
-fn run_hosted_worker<T: Teacher>(
-    failover: Arc<FailoverShared<T>>,
-    shard_index: usize,
-    pool_config: PoolConfig,
-) -> Result<Vec<ShardOutput>> {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_worker_loop(&failover, shard_index, pool_config)
-    }));
-    match result {
-        Ok(done) => done,
-        Err(payload) => {
-            // Publish the death *after* the unwind released the slot, so a
-            // standby that observes it can immediately take the carcass.
-            // With replication off, join() surfaces this as WorkerFailed.
-            failover
-                .board
-                .mark_dead(shard_index, panic_message(payload.as_ref()));
-            Ok(Vec::new())
-        }
-    }
-}
-
-/// Upper bound on how long an *idle* replicating worker blocks before
-/// re-running standby duty (checking its ward for a death certificate) —
-/// the thread-per-shard driver's detection cadence. The reactor driver's
-/// counterpart is `REACTOR_IDLE_TICK`. `st_sim::FailoverModel::detect_tick`
-/// mirrors whichever is larger.
-const FAILOVER_TICK: Duration = Duration::from_millis(25);
-
-/// The thread-per-shard worker loop: fair-queue incoming key frames per
-/// stream, handle registrations and shutdowns in arrival order, drain
-/// deficit-round-robin batches through the shard, and push responses onto
-/// each stream's downlink. Under [`PlacementPolicy::Rebalance`] the loop
-/// additionally adopts streams migrated to it, donates streams when an idle
-/// shard asks, forwards traffic that raced a migration, and — as the warm
-/// standby for its ring predecessor — adopts that shard's streams if its
-/// worker dies.
-///
-/// This is a thin blocking driver over [`ShardState`]; the same handlers run
-/// event-driven under [`run_reactor_worker`]. Returns a one-element vector so
-/// both drivers share the pool's worker-handle type. The worker holds its
-/// state-slot guard for its whole life; see [`FailoverShared`].
-fn run_worker_loop<T: Teacher>(
-    failover: &FailoverShared<T>,
-    shard_index: usize,
-    pool_config: PoolConfig,
-) -> Result<Vec<ShardOutput>> {
-    let mut guard = locked(&failover.states[shard_index]);
-    loop {
-        let Some(state) = guard.as_mut() else {
-            // Unreachable in practice: the slot is only emptied by this
-            // worker's own exit or by a standby adopting our *death*.
-            return Ok(Vec::new());
-        };
-        state.need_frames_sent.clear();
-        // Heartbeat + standby duty (see ShardState::failover_tick). Runs
-        // after the clear so a takeover's NeedFrame re-requests survive.
-        state.failover_tick(failover)?;
-        let mut incoming: Vec<Envelope> = Vec::new();
-        state.ingest_mailbox(&mut incoming);
-        // Envelopes that arrived ahead of their stream's migration retry
-        // after every mailbox drain, ahead of newer traffic.
-        let retry: Vec<Envelope> = std::mem::take(&mut state.deferred);
-        incoming.splice(0..0, retry);
-
-        // Gather traffic. Block only when there is no backlog to work on;
-        // with queued jobs, poll so service keeps flowing between arrivals.
-        if incoming.is_empty() && state.scheduler.is_empty() {
-            if state.disconnected {
-                if state.ready_to_exit() {
-                    break;
-                }
-                continue;
-            }
-            // A stealing worker wakes every `steal_poll` to look for (and
-            // offer) work; a replicating worker wakes every `FAILOVER_TICK`
-            // so standby duty (death detection) stays bounded even when
-            // idle; a static worker can block the full timeout.
-            let timeout = if state.stealing {
-                pool_config.recv_timeout.min(pool_config.steal_poll)
-            } else if failover.board.replication {
-                pool_config.recv_timeout.min(FAILOVER_TICK)
-            } else {
-                pool_config.recv_timeout
-            };
-            match state.rx.recv_timeout(timeout) {
-                Ok(envelope) => incoming.push(envelope),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if !state.stealing && !failover.board.replication {
-                        continue;
-                    }
-                    // Fall through so the steal logic below runs on idle
-                    // ticks too (and, with replication, so the standby
-                    // duty at the loop top keeps polling for deaths).
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    state.disconnected = true;
-                    continue;
-                }
-            }
-        }
-        state.drain_uplink(&mut incoming);
-        for envelope in incoming {
-            state.on_frame(envelope)?;
-        }
-        state.steal_participation();
-        state.process_one_batch()?;
-        state.note_idle_streams();
-    }
-    let Some(state) = guard.take() else {
-        return Ok(Vec::new());
-    };
-    failover.board.mark_finished(shard_index);
-    drop(guard);
-    Ok(vec![state.finish()])
-}
-
 /// How often an otherwise event-less reactor worker re-checks its timers and
 /// shard states — the upper bound on poll blocking, not a service cadence
 /// (sends and timer deadlines wake workers much sooner).
 const REACTOR_IDLE_TICK: Duration = Duration::from_millis(50);
 
-/// How long the reactor waits for a `ReShare` before re-sending `NeedFrame`.
-/// The legacy driver has no retry at all — a lost request simply parks the
-/// job until shutdown — so any finite value is strictly more robust.
+/// How long the reactor waits for a `ReShare` before re-sending `NeedFrame`,
+/// so a lost request cannot park its job until shutdown.
 const NEED_FRAME_RETRY: Duration = Duration::from_millis(100);
 
 /// A deadline owned by the reactor's shared timer wheel.
 enum TimerEvent {
-    /// Run a maintenance pass on a shard — the reactor's analogue of the
-    /// legacy driver's `steal_poll` wakeup, armed only while the shard is an
-    /// idle steal participant.
+    /// Run a maintenance pass on a shard every `steal_poll`, armed only
+    /// while the shard is an idle steal participant.
     Tick(usize),
     /// Re-send `NeedFrame` for a job still parked on an evicted frame.
     NeedFrameRetry {
@@ -5105,7 +4889,6 @@ mod tests {
             ShadowTutorConfig::paper(),
             PoolConfig {
                 shards: 2,
-                recv_timeout: Duration::from_millis(200),
                 ..PoolConfig::default_pool()
             },
             StudentNet::new(StudentConfig::tiny()).unwrap(),
@@ -5182,7 +4965,6 @@ mod tests {
             ShadowTutorConfig::paper(),
             PoolConfig {
                 shards: 1,
-                recv_timeout: Duration::from_millis(100),
                 ..PoolConfig::default_pool()
             },
             StudentNet::new(StudentConfig::tiny()).unwrap(),
@@ -5206,7 +4988,6 @@ mod tests {
             ShadowTutorConfig::paper(),
             PoolConfig {
                 shards: 2,
-                recv_timeout: Duration::from_millis(100),
                 ..PoolConfig::default_pool()
             },
             StudentNet::new(StudentConfig::tiny()).unwrap(),
@@ -5390,7 +5171,6 @@ mod tests {
                 adaptive_batch: false,
                 max_in_flight: 64,
                 placement: PlacementPolicy::Rebalance,
-                recv_timeout: Duration::from_millis(200),
                 steal_poll: Duration::from_millis(1),
                 ..PoolConfig::default_pool()
             },
@@ -5484,7 +5264,6 @@ mod tests {
             PoolConfig {
                 shards: 2,
                 placement: PlacementPolicy::StaticModulo,
-                recv_timeout: Duration::from_millis(100),
                 ..PoolConfig::default_pool()
             },
             StudentNet::new(StudentConfig::tiny()).unwrap(),
@@ -5503,8 +5282,8 @@ mod tests {
 
     /// Spawn a pool, pipeline `key_frames` key frames per stream through
     /// `streams` clients, shut down cleanly and return the final stats.
-    /// Shared by the reactor tests so the legacy and reactor drivers run
-    /// byte-identical workloads.
+    /// Shared by the reactor tests so every worker count runs a
+    /// byte-identical workload.
     fn run_pipelined_pool(pool_config: PoolConfig, streams: usize, key_frames: usize) -> PoolStats {
         let pool = ServerPool::spawn(
             ShadowTutorConfig::paper(),
@@ -5559,7 +5338,6 @@ mod tests {
                 reactor_threads: Some(2),
                 placement: PlacementPolicy::StaticModulo,
                 max_in_flight: 64,
-                recv_timeout: Duration::from_millis(100),
                 ..PoolConfig::default_pool()
             },
             8,
@@ -5580,45 +5358,53 @@ mod tests {
     }
 
     #[test]
-    fn reactor_distillation_is_bit_identical_to_thread_per_shard() {
+    fn distillation_is_independent_of_the_reactor_thread_count() {
         let base = PoolConfig {
             shards: 4,
             placement: PlacementPolicy::StaticModulo,
             max_in_flight: 64,
-            recv_timeout: Duration::from_millis(100),
             ..PoolConfig::default_pool()
         };
-        let threaded = run_pipelined_pool(base, 4, 4);
-        let reactor = run_pipelined_pool(
-            PoolConfig {
-                reactor_threads: Some(2),
-                ..base
-            },
-            4,
-            4,
-        );
-        assert_eq!(threaded.total_key_frames(), 16);
-        assert_eq!(reactor.total_key_frames(), 16);
-        assert_eq!(threaded.dropped_jobs() + reactor.dropped_jobs(), 0);
-        // Same workload, same shard assignment, same teachers: every
-        // stream's final student must match to the byte even though the
-        // reactor ran 4 shards on 2 threads with different batching timing.
-        for id in 0..4u64 {
-            let a = threaded.final_checkpoints[&id].encode();
-            let b = reactor.final_checkpoints[&id].encode();
-            assert_eq!(a, b, "stream {id} diverged between drivers");
+        // One worker per shard (the default), a single worker hosting all
+        // four shards, and two workers sharing them.
+        let runs: Vec<PoolStats> = [None, Some(1), Some(2)]
+            .into_iter()
+            .map(|reactor_threads| {
+                run_pipelined_pool(
+                    PoolConfig {
+                        reactor_threads,
+                        ..base
+                    },
+                    4,
+                    4,
+                )
+            })
+            .collect();
+        let reference = &runs[0];
+        assert_eq!(reference.total_key_frames(), 16);
+        for run in &runs {
+            assert_eq!(run.total_key_frames(), 16);
+            assert_eq!(run.dropped_jobs(), 0);
         }
-        // Per-stream serving counters agree too (waits and batch shapes may
-        // differ; the distillation outcome may not).
-        for id in 0..4u64 {
-            assert_eq!(
-                threaded.streams[&id].key_frames,
-                reactor.streams[&id].key_frames
-            );
-            assert_eq!(
-                threaded.streams[&id].distill_steps,
-                reactor.streams[&id].distill_steps
-            );
+        // Same workload, same shard assignment, same teachers: every
+        // stream's final student must match to the byte whatever the worker
+        // count and however the batching timing fell out.
+        for (run, threads) in runs.iter().zip(["None", "Some(1)", "Some(2)"]).skip(1) {
+            for id in 0..4u64 {
+                let a = reference.final_checkpoints[&id].encode();
+                let b = run.final_checkpoints[&id].encode();
+                assert_eq!(a, b, "stream {id} diverged at reactor_threads {threads}");
+                // Per-stream serving counters agree too (waits and batch
+                // shapes may differ; the distillation outcome may not).
+                assert_eq!(
+                    reference.streams[&id].key_frames,
+                    run.streams[&id].key_frames
+                );
+                assert_eq!(
+                    reference.streams[&id].distill_steps,
+                    run.streams[&id].distill_steps
+                );
+            }
         }
     }
 
@@ -5638,7 +5424,6 @@ mod tests {
                 adaptive_batch: false,
                 max_in_flight: 64,
                 placement: PlacementPolicy::Rebalance,
-                recv_timeout: Duration::from_millis(200),
                 steal_poll: Duration::from_millis(1),
                 ..PoolConfig::default_pool()
             },

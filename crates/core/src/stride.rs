@@ -12,7 +12,6 @@
 //! either not adaptive or too coarse.
 
 use crate::config::ShadowTutorConfig;
-use serde::{Deserialize, Serialize};
 
 /// Compute the next key-frame stride (Algorithm 2).
 ///
@@ -34,7 +33,7 @@ pub fn next_stride(config: &ShadowTutorConfig, stride: usize, metric: f64) -> us
 
 /// A key-frame scheduling policy. [`StridePolicy::Adaptive`] is the paper's
 /// Algorithm 2; the others are the ablation baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StridePolicy {
     /// Algorithm 2: metric-proportional scaling, clamped.
     Adaptive,

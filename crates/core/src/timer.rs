@@ -1,11 +1,10 @@
 //! Hierarchical timer wheel for the reactor server pool.
 //!
-//! The reactor ([`crate::serve`] with `PoolConfig::reactor_threads` set)
-//! owns *all* time-based serving state — adaptive batch windows, steal
-//! patience, `NeedFrame` re-request retries — in one place: a classic
-//! hashed hierarchical timer wheel ([Varghese & Lauck 1987]-style), instead
-//! of the ad-hoc `recv_timeout` / sleep ticks the thread-per-shard loop
-//! uses. Scheduling and cancelling are O(1)-ish; advancing does
+//! The reactor that drives every [`crate::serve`] pool owns *all*
+//! time-based serving state — adaptive batch windows, steal patience,
+//! `NeedFrame` re-request retries — in one place: a classic hashed
+//! hierarchical timer wheel ([Varghese & Lauck 1987]-style), instead of
+//! ad-hoc `recv_timeout` / sleep ticks per worker. Scheduling and cancelling are O(1)-ish; advancing does
 //! O(elapsed ticks) empty-slot checks plus O(k) work for the k timers it
 //! fires or cascades — and skips straight to the target when no timers are
 //! live — which is what makes thousands of mostly-idle timers cheap.

@@ -45,7 +45,6 @@ fn chaos_pool_config(fault_plan: FaultPlan) -> PoolConfig {
         fault_plan,
         // High enough that the pipelined hot stream is never throttled.
         max_in_flight: 64,
-        recv_timeout: Duration::from_millis(200),
         steal_poll: Duration::from_millis(1),
         steal_patience: Duration::from_millis(5),
         ..PoolConfig::default_pool()

@@ -19,13 +19,13 @@
 //!   client then blocks for every update on the key frame itself, update
 //!   arrival can never straddle a frame boundary, and the final client
 //!   students of a (CoW + delta) run must equal a (DeepClone + full) run
-//!   bit for bit, under both pool drivers (thread-per-shard and reactor)
-//!   and both client drivers (multiplexed and thread-per-client).
+//!   bit for bit, with one reactor worker per shard and with more shards
+//!   than reactor workers.
 
 use std::collections::HashMap;
 
 use shadowtutor::config::ShadowTutorConfig;
-use shadowtutor::runtime::live::{run_live_multi_with, ClientDriverMode, StreamSpec};
+use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
 use shadowtutor::serve::{FrameStore, PoolConfig, ServeShard, SessionWeights, ShardJob};
 use st_net::{StreamId, Wire};
 use st_nn::delta::{CheckpointDigest, WeightDelta, WeightPayload};
@@ -270,13 +270,14 @@ fn lockstep_specs(frames_per_stream: usize) -> Vec<StreamSpec> {
 /// Run the same lockstep workload under (CoW + delta) and (DeepClone +
 /// full) and assert the outcomes are bit-identical, per stream, on both
 /// the client and the server side.
-fn assert_live_differential(pool: PoolConfig, mode: ClientDriverMode) {
+fn assert_live_differential(pool: PoolConfig) {
+    const FRAMES: usize = 20;
     let config = lockstep_config();
     let student = template();
     let run = |session_weights: SessionWeights, delta_updates: bool| {
-        run_live_multi_with(
+        run_live_multi(
             config,
-            lockstep_specs(20),
+            lockstep_specs(FRAMES),
             student.clone(),
             PoolConfig {
                 session_weights,
@@ -284,12 +285,31 @@ fn assert_live_differential(pool: PoolConfig, mode: ClientDriverMode) {
                 ..pool
             },
             |shard| OracleTeacher::perfect(TEACHER_SEED + shard as u64),
-            mode,
         )
         .expect("live differential run")
     };
     let cow = run(SessionWeights::CopyOnWrite, true);
     let clone = run(SessionWeights::DeepClone, false);
+
+    // Each run on its own: every stream served every frame, the pool's
+    // key-frame total is the sum of the per-stream counts, and each stream
+    // left exactly one final checkpoint.
+    for outcome in [&cow, &clone] {
+        assert_eq!(outcome.streams.len(), 3);
+        for stream in &outcome.streams {
+            assert_eq!(stream.record.frames, FRAMES, "{}", stream.record.label);
+            assert!(stream.record.frame_records[0].is_key_frame);
+        }
+        assert_eq!(
+            outcome.pool.total_key_frames(),
+            outcome
+                .streams
+                .iter()
+                .map(|s| s.server_key_frames)
+                .sum::<usize>()
+        );
+        assert_eq!(outcome.pool.final_checkpoints.len(), 3);
+    }
 
     for (cow_stream, clone_stream) in cow.streams.iter().zip(&clone.streams) {
         let label = &cow_stream.record.label;
@@ -346,25 +366,15 @@ fn assert_live_differential(pool: PoolConfig, mode: ClientDriverMode) {
 }
 
 #[test]
-fn live_pool_differential_thread_per_shard_multiplexed() {
-    assert_live_differential(PoolConfig::with_shards(2), ClientDriverMode::Multiplexed);
-}
-
-#[test]
-fn live_pool_differential_thread_per_shard_thread_per_client() {
-    assert_live_differential(
-        PoolConfig::with_shards(2),
-        ClientDriverMode::ThreadPerClient,
-    );
+fn live_pool_differential_one_reactor_worker_per_shard() {
+    assert_live_differential(PoolConfig::with_shards(2));
 }
 
 #[test]
 fn live_pool_differential_reactor_driver() {
-    assert_live_differential(
-        PoolConfig {
-            reactor_threads: Some(2),
-            ..PoolConfig::with_shards(2)
-        },
-        ClientDriverMode::Multiplexed,
-    );
+    // Three shards shared by two reactor workers.
+    assert_live_differential(PoolConfig {
+        reactor_threads: Some(2),
+        ..PoolConfig::with_shards(3)
+    });
 }

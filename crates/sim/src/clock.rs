@@ -1,9 +1,7 @@
 //! Virtual clock and event accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// What a span of virtual time was spent on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// Student inference on the client (`t_si`).
     StudentInference,
@@ -20,7 +18,7 @@ pub enum EventKind {
 }
 
 /// One recorded event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Start time in seconds of virtual time.
     pub start: f64,
@@ -31,7 +29,7 @@ pub struct Event {
 }
 
 /// An append-only log of events with per-kind totals.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EventLog {
     events: Vec<Event>,
 }

@@ -1,8 +1,6 @@
 //! Latency profiles: the per-component timing table of the paper (Table 1 /
 //! §5.3) plus the client-concurrency assumption of §4.4.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether the modelled client can overlap student inference with network
 /// transfers and teacher-side work.
 ///
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// overlap) and `MIN_STRIDE·t_si + t_net + t_ti` (no overlap). The runtime
 /// takes this as an explicit parameter so both bounds — and anything in
 /// between via [`Concurrency::Partial`] — can be simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Concurrency {
     /// The client cannot overlap anything (the paper's lower-bound case).
     None,
@@ -47,7 +45,7 @@ impl Concurrency {
 }
 
 /// Per-component latencies in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyProfile {
     /// Student inference latency on the client, `t_si`.
     pub student_inference: f64,

@@ -496,6 +496,7 @@ mod tests {
         // element is unchanged, so results are bit-for-bit identical.
         let a = random::uniform(Shape::matrix(64, 300), -1.0, 1.0, 30);
         let b = random::uniform(Shape::matrix(300, 100), -1.0, 1.0, 31);
+        let _knob = crate::parallel::test_thread_knob();
         crate::parallel::set_threads(1);
         let serial = matmul(&a, &b).unwrap();
         crate::parallel::set_threads(4);

@@ -172,6 +172,17 @@ where
     partials.into_iter().fold(identity, combine)
 }
 
+/// Serializes the unit tests that change the process-wide thread override,
+/// so one cannot observe (or clobber) another's setting mid-run. Every
+/// holder restores the override before releasing it.
+#[cfg(test)]
+pub(crate) fn test_thread_knob() -> std::sync::MutexGuard<'static, ()> {
+    static THREAD_KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    THREAD_KNOB
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,22 +214,34 @@ mod tests {
 
     #[test]
     fn reduce_matches_serial() {
-        let data: Vec<f32> = (0..10_000).map(|i| i as f32).collect();
-        let sum = par_reduce(&data, 0.0, |x| x, |a, b| a + b);
-        let expected: f32 = data.iter().sum();
-        assert!((sum - expected).abs() / expected < 1e-5);
-        let maxv = par_reduce(&data, f32::NEG_INFINITY, |x| x, f32::max);
-        assert_eq!(maxv, 9999.0);
+        let _knob = test_thread_knob();
+        let saved = THREAD_OVERRIDE.load(Ordering::Relaxed);
+        // Integer data whose every partial sum stays below 2^24 is exact in
+        // f32, so the reference is exact however the chunks fall.
+        let data: Vec<f32> = (0..10_000).map(|i| (i % 100) as f32).collect();
+        let expected = (0..10_000u64).map(|i| i % 100).sum::<u64>() as f32;
+        for n in [1, 2, 3, 4] {
+            set_threads(n);
+            let sum = par_reduce(&data, 0.0, |x| x, |a, b| a + b);
+            assert!(
+                (sum - expected).abs() / expected < 1e-5,
+                "{n} threads: {sum} vs {expected}"
+            );
+            let maxv = par_reduce(&data, f32::NEG_INFINITY, |x| x, f32::max);
+            assert_eq!(maxv, 99.0);
+        }
+        set_threads(saved);
     }
 
     #[test]
     fn thread_override_round_trip() {
-        let original = threads();
+        let _knob = test_thread_knob();
+        let saved = THREAD_OVERRIDE.load(Ordering::Relaxed);
         set_threads(3);
         assert_eq!(threads(), 3);
         set_threads(0);
         assert!(threads() >= 1);
-        let _ = original;
+        set_threads(saved);
     }
 
     #[test]

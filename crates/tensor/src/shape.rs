@@ -1,7 +1,6 @@
 //! Shape bookkeeping for dense NCHW tensors.
 
 use crate::{Result, TensorError};
-use serde::{Deserialize, Serialize};
 
 /// The shape of a dense tensor.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// Most tensors in this workspace are 4-D `(N, C, H, W)` activations or
 /// `(OutC, InC, KH, KW)` convolution kernels, but 1-D bias vectors and 2-D
 /// matrices are also used, so the dimensionality is not fixed.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

@@ -14,7 +14,6 @@ use crate::scene::{SceneKind, VideoCategory};
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use st_tensor::{Shape, Tensor, TensorError};
 
 /// One video frame: the RGB image and its ground-truth segmentation.
@@ -142,7 +141,7 @@ impl st_net::Wire for Frame {
 }
 
 /// Configuration of a generated video stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VideoConfig {
     /// Frame width in pixels (must be divisible by 4 for the student).
     pub width: usize,

@@ -1,10 +1,9 @@
 //! Camera-motion and scene-kind taxonomy: the seven LVS categories.
 
 use crate::classes::SegClass;
-use serde::{Deserialize, Serialize};
 
 /// Camera motion model of a video.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CameraMotion {
     /// Static camera (e.g. a CCTV view). Only the objects move.
     Fixed,
@@ -47,7 +46,7 @@ impl CameraMotion {
 }
 
 /// Main scenery of a video.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SceneKind {
     /// Wildlife footage: birds, dogs, horses, elephants, giraffes.
     Animals,
@@ -115,7 +114,7 @@ impl SceneKind {
 }
 
 /// A camera × scene category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VideoCategory {
     /// Camera motion model.
     pub camera: CameraMotion,

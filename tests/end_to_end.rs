@@ -450,45 +450,64 @@ fn hot_stream_cannot_starve_cold_streams() {
     // their waits bounded, pushing the cost of the burstiness onto the hot
     // stream itself.
     let (student, _) = pretrained_student();
-    let run = |streams: usize, hot_multiplier: usize| {
+    let max_batch = PoolConfig::default_pool().max_batch;
+    // The 16 ms wall-clock pause per teacher forward keeps the teacher's
+    // share of service real on any host; distillation adds whatever this
+    // host's training steps cost.
+    let pace = Duration::from_millis(16);
+    let run = |streams: usize, hot_multiplier: usize, send_interval: Duration| {
         run_skewed_load(
             ShadowTutorConfig::paper(),
             PoolConfig {
                 shards: 1,
-                recv_timeout: Duration::from_millis(200),
                 ..PoolConfig::default_pool()
             },
             student.clone(),
             0.013,
-            |shard| {
-                // The 16 ms wall-clock pause per teacher forward makes the
-                // throttle assertion machine-independent: even with free
-                // distillation, a full batch (4 jobs) takes at least
-                // 16 * 1.6 = 25.6 ms, so the shard drains at most one hot
-                // job per 6.4 ms while the 8x hot stream sends one every
-                // 5 ms — its in-flight cap must fill within the run.
-                PacedTeacher::new(
-                    OracleTeacher::perfect(500 + shard as u64),
-                    Duration::from_millis(16),
-                )
-            },
+            |shard| PacedTeacher::new(OracleTeacher::perfect(500 + shard as u64), pace),
             SkewedLoadSpec {
                 streams,
                 hot_multiplier,
                 key_frames_per_stream: 5,
-                send_interval: Duration::from_millis(40),
+                send_interval,
                 seed: 7000 + hot_multiplier as u64,
             },
         )
         .unwrap()
     };
+    let mean_service = |outcome: &shadowtutor::loadgen::SkewedLoadOutcome| {
+        let busy: f64 = outcome
+            .pool
+            .shards
+            .iter()
+            .map(|s| s.busy_time.as_secs_f64())
+            .sum();
+        busy / outcome.pool.total_key_frames().max(1) as f64
+    };
+
+    // Calibrate the offered load to this host. A lone stream is served one
+    // key frame per batch, so its measured service time is the teacher pace
+    // plus one key frame's distillation. A full co-scheduled batch pays the
+    // pace once (sub-linearly in the batch size) and distillation per job,
+    // which gives the shard's per-job cost under contention.
+    let calibration = run(1, 1, Duration::from_millis(40));
+    let solo_service = mean_service(&calibration);
+    let pace_secs = pace.as_secs_f64();
+    let batch = max_batch as f64;
+    let per_job =
+        pace_secs * (1.0 + 0.2 * (batch - 1.0)) / batch + (solo_service - pace_secs).max(0.0);
+    // Cold streams send every 7 jobs' worth of service, so the skewed run
+    // offers 11/7 of the shard's capacity: each cold stream offers 4/7 of
+    // its fair quarter, while the 8x hot stream alone offers 8/7 of the
+    // whole shard, so its in-flight cap must fill within the run.
+    let send_interval = Duration::from_secs_f64(7.0 * per_job);
 
     // Solo baseline: one well-behaved stream with the pool to itself. Every
     // cold stream is statistically identical to it.
-    let solo = run(1, 1);
+    let solo = run(1, 1, send_interval);
     let solo_wait = solo.pool.streams[&0].mean_queue_wait_secs();
 
-    let skewed = run(4, 8);
+    let skewed = run(4, 8, send_interval);
     // Every cold stream was fully serviced: each of its key frames got a
     // StudentUpdate — none starved, none throttled, none dropped.
     for cold in skewed.cold() {
@@ -519,16 +538,7 @@ fn hot_stream_cannot_starve_cold_streams() {
     // would instead let the hot backlog — dozens of jobs — pile up in
     // front of cold arrivals, blowing far past this bound.)
     let streams = 4usize;
-    let mean_service = {
-        let busy: f64 = skewed
-            .pool
-            .shards
-            .iter()
-            .map(|s| s.busy_time.as_secs_f64())
-            .sum();
-        busy / skewed.pool.total_key_frames().max(1) as f64
-    };
-    let drr_cycle = (PoolConfig::default_pool().max_batch + streams) as f64 * mean_service;
+    let drr_cycle = (max_batch + streams) as f64 * mean_service(&skewed);
     // The extra 100 ms absorbs a preempted-CI-runner stall of the worker
     // thread; a FIFO drain without the in-flight cap would queue the hot
     // stream's dozens of jobs ahead of cold arrivals and overshoot this by
@@ -569,7 +579,6 @@ fn key_frame_after_shutdown_is_acked_and_counted_not_silently_lost() {
         ShadowTutorConfig::paper(),
         PoolConfig {
             shards: 1,
-            recv_timeout: Duration::from_millis(200),
             ..PoolConfig::default_pool()
         },
         StudentNet::new(StudentConfig::tiny()).unwrap(),
@@ -720,7 +729,6 @@ fn batched_cnn_teacher_amortizes_measured_cost_in_the_pool() {
             max_in_flight: 2,
             quantum: 2,
             adaptive_batch: false,
-            recv_timeout: Duration::from_millis(200),
             ..PoolConfig::default_pool()
         },
         student,
@@ -916,7 +924,6 @@ fn work_stealing_relieves_a_hot_shard_and_bounds_frame_memory() {
                 frame_budget_bytes: Some(budget),
                 steal_poll: Duration::from_millis(1),
                 steal_patience: Duration::from_millis(100),
-                recv_timeout: Duration::from_millis(200),
                 ..PoolConfig::default_pool()
             },
             student.clone(),
@@ -1078,7 +1085,6 @@ fn stream_finishing_mid_migration_is_never_lost() {
         adaptive_batch: false,
         steal_poll: Duration::from_millis(1),
         steal_patience: Duration::from_millis(3),
-        recv_timeout: Duration::from_millis(200),
         ..PoolConfig::default_pool()
     };
 
@@ -1224,7 +1230,6 @@ fn lru_eviction_needframe_reshare_round_trip() {
         PoolConfig {
             shards: 1,
             frame_budget_bytes: Some(budget),
-            recv_timeout: Duration::from_millis(200),
             ..PoolConfig::default_pool()
         },
         StudentNet::new(StudentConfig::tiny()).unwrap(),
