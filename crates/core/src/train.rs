@@ -6,6 +6,13 @@
 //! taken, keeping the best-performing weights seen. If the student already
 //! beats the threshold before any step, training is skipped entirely (the
 //! `d = 0` case that the traffic upper bound of §4.4 relies on).
+//!
+//! The student's frozen prefix (In1–SB4 under partial distillation) is
+//! encoded once per key frame: no step changes it, so the initial
+//! prediction, every training forward and every re-check resume from the
+//! same [`st_nn::FrozenFeatures`] instead of re-running it `2K + 1` times
+//! for `K` steps. Under full distillation nothing is frozen and the
+//! features are the frame itself.
 
 use crate::config::ShadowTutorConfig;
 use crate::Result;
@@ -51,7 +58,8 @@ pub fn train_student(
     )?;
 
     // Line 1-2: initial prediction and metric.
-    let prediction = student.predict(&frame.image)?;
+    let features = student.encode_frozen(&frame.image)?;
+    let prediction = student.predict_from(&features)?;
     let initial_metric = miou(&prediction, pseudo_label, classes)?.value;
     let mut best_metric = initial_metric;
     let mut steps = 0usize;
@@ -70,7 +78,7 @@ pub fn train_student(
         let mut best_is_current = true;
         for _ in 0..config.max_updates {
             // Lines 6-9: one optimization step on the distillation loss.
-            let logits = student.forward_train(&frame.image)?;
+            let logits = student.forward_train_from(&features)?;
             let (loss, grad) = weighted_cross_entropy(&logits, pseudo_label, &weights)?;
             student.backward(&grad)?;
             optimizer.step(student);
@@ -84,7 +92,7 @@ pub fn train_student(
             // plateau snapshot would silently discard that progress on every
             // key frame (the student would never escape the plateau no
             // matter how many key frames it trains on).
-            let prediction = student.predict(&frame.image)?;
+            let prediction = student.predict_from(&features)?;
             let metric = miou(&prediction, pseudo_label, classes)?.value;
             if metric >= best_metric {
                 best_metric = metric;
@@ -210,6 +218,119 @@ mod tests {
         };
         let out = train_student(&mut student, &mut opt, &frame, &label, &strict).unwrap();
         assert_eq!(out.steps, 3);
+    }
+
+    /// Algorithm 1 without frozen-encoder reuse: every prediction and every
+    /// training forward runs the whole network on the full image. The
+    /// reference [`train_student`] must match bit for bit.
+    fn train_student_uncached(
+        student: &mut StudentNet,
+        optimizer: &mut Adam,
+        frame: &Frame,
+        pseudo_label: &[usize],
+        config: &ShadowTutorConfig,
+    ) -> Result<TrainOutcome> {
+        let classes = student.config.num_classes;
+        let weights = WeightMap::from_labels(
+            pseudo_label,
+            frame.height,
+            frame.width,
+            0,
+            config.loss_weight_radius,
+        )?;
+        let prediction = student.predict(&frame.image)?;
+        let initial_metric = miou(&prediction, pseudo_label, classes)?.value;
+        let mut best_metric = initial_metric;
+        let mut steps = 0usize;
+        let mut final_loss = 0.0f32;
+        if best_metric < config.threshold {
+            let mut best_weights = WeightSnapshot::capture(student, SnapshotScope::TrainableOnly);
+            let mut best_is_current = true;
+            for _ in 0..config.max_updates {
+                let logits = student.forward_train(&frame.image)?;
+                let (loss, grad) = weighted_cross_entropy(&logits, pseudo_label, &weights)?;
+                student.backward(&grad)?;
+                optimizer.step(student);
+                best_is_current = false;
+                steps += 1;
+                final_loss = loss;
+                let prediction = student.predict(&frame.image)?;
+                let metric = miou(&prediction, pseudo_label, classes)?.value;
+                if metric >= best_metric {
+                    best_metric = metric;
+                    best_weights = WeightSnapshot::capture(student, SnapshotScope::TrainableOnly);
+                    best_is_current = true;
+                }
+                if metric > config.threshold {
+                    break;
+                }
+            }
+            if !best_is_current {
+                best_weights.apply(student)?;
+            }
+        }
+        Ok(TrainOutcome {
+            initial_metric,
+            best_metric,
+            steps,
+            final_loss,
+        })
+    }
+
+    #[test]
+    fn frozen_encoder_reuse_matches_the_uncached_loop() {
+        // Consecutive key frames of a moving-camera clip: the content keeps
+        // changing, so most key frames train, and every key frame starts
+        // from the weights (and optimizer moments) the previous one left.
+        let cat = VideoCategory {
+            camera: CameraMotion::Moving,
+            scene: SceneKind::Street,
+        };
+        let mut gen = VideoGenerator::new(VideoConfig::for_category(cat, 32, 24, 11)).unwrap();
+        let mut teacher = OracleTeacher::perfect(1);
+        let key_frames: Vec<(Frame, Vec<usize>)> = (0..30)
+            .map(|_| gen.next_frame())
+            .step_by(3)
+            .map(|frame| {
+                let label = teacher.pseudo_label(&frame).unwrap();
+                (frame, label)
+            })
+            .collect();
+        assert!(key_frames.len() >= 8);
+        for width in [StudentConfig::tiny(), StudentConfig::small()] {
+            for mode in [DistillationMode::Partial, DistillationMode::Full] {
+                let config = ShadowTutorConfig {
+                    mode,
+                    ..ShadowTutorConfig::paper()
+                };
+                let mut cached = StudentNet::new(width).unwrap();
+                cached.freeze = mode.freeze_point();
+                let mut reference = cached.clone();
+                let mut cached_opt = Adam::new(config.learning_rate);
+                let mut reference_opt = Adam::new(config.learning_rate);
+                let mut trained = 0;
+                for (i, (frame, label)) in key_frames.iter().enumerate() {
+                    let got =
+                        train_student(&mut cached, &mut cached_opt, frame, label, &config).unwrap();
+                    let want = train_student_uncached(
+                        &mut reference,
+                        &mut reference_opt,
+                        frame,
+                        label,
+                        &config,
+                    )
+                    .unwrap();
+                    assert_eq!(got, want, "{mode:?} key frame {i}: outcomes differ");
+                    assert_eq!(
+                        WeightSnapshot::capture(&mut cached, SnapshotScope::Full).encode(),
+                        WeightSnapshot::capture(&mut reference, SnapshotScope::Full).encode(),
+                        "{mode:?} key frame {i}: checkpoints differ"
+                    );
+                    trained += usize::from(got.steps > 0);
+                }
+                assert!(trained > 0, "{mode:?}: no key frame trained");
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod student;
 pub use delta::{CheckpointDigest, WeightDelta, WeightPayload};
 pub use param::{Param, ParamVisitor};
 pub use store::{CheckpointRef, InternStats, SessionMemory, WeightStore};
-pub use student::{FreezePoint, Stage, StudentConfig, StudentNet};
+pub use student::{FreezePoint, FrozenFeatures, Stage, StudentConfig, StudentNet};
 
 /// Result alias re-using the tensor error type.
 pub type Result<T> = st_tensor::Result<T>;

@@ -26,6 +26,15 @@
 //! [`FreezePoint`], expressed in terms of [`Stage`]s; the backward pass stops
 //! descending as soon as every remaining stage is frozen, which is exactly
 //! the latency/memory saving the paper describes.
+//!
+//! The forward pass is split at the same boundary. [`StudentNet::encode_frozen`]
+//! runs the frozen prefix once and returns its output as [`FrozenFeatures`]
+//! (the SB4 activation plus the SB1 and SB2 skips under the paper's freeze
+//! point); [`StudentNet::forward_train_from`] and [`StudentNet::predict_from`]
+//! run only the stages after it. Distillation encodes the frozen prefix once
+//! per key frame and resumes from it at every optimization step. Whole and
+//! resumed passes walk the same stage list with the same layer calls, so they
+//! are bit-for-bit identical.
 
 use crate::block::StudentBlock;
 use crate::layers::{Conv2d, Relu};
@@ -78,12 +87,10 @@ impl Stage {
         Stage::Out3,
     ];
 
-    /// Position of the stage in forward order.
+    /// Position of the stage in forward order (its index in
+    /// [`Stage::ALL`], which lists the variants in declaration order).
     pub fn index(self) -> usize {
-        Stage::ALL
-            .iter()
-            .position(|&s| s == self)
-            .expect("stage in ALL")
+        self as usize
     }
 }
 
@@ -105,12 +112,18 @@ impl FreezePoint {
         FreezePoint::TrainFrom(Stage::Sb5)
     }
 
+    /// Length of the frozen prefix: the [`Stage::ALL`] index of the first
+    /// trainable stage.
+    pub fn boundary(&self) -> usize {
+        match self {
+            FreezePoint::None => 0,
+            FreezePoint::TrainFrom(first) => first.index(),
+        }
+    }
+
     /// Whether a stage is trainable under this freeze point.
     pub fn trainable(&self, stage: Stage) -> bool {
-        match self {
-            FreezePoint::None => true,
-            FreezePoint::TrainFrom(first) => stage.index() >= first.index(),
-        }
+        stage.index() >= self.boundary()
     }
 }
 
@@ -184,14 +197,97 @@ impl StudentConfig {
     }
 }
 
-/// Cached activations a training-mode forward pass leaves behind for the
-/// backward pass (skip-connection outputs and layer input shapes).
+/// What a training-mode forward pass leaves behind for the backward pass
+/// beyond the layers' own caches: the head's spatial size.
 #[derive(Debug, Clone)]
 struct ForwardCache {
-    sb1_out_channels: usize,
-    sb2_out_channels: usize,
     head_h: usize,
     head_w: usize,
+}
+
+/// The activations at one point of the forward pass: everything the stages
+/// from there on read.
+///
+/// [`StudentNet::encode_frozen`] produces them at the freeze boundary, where
+/// they are the frozen prefix's output. Frozen stages are never written by
+/// the optimizer and run with fixed statistics, so the features stay valid
+/// across every optimization step of one key frame:
+/// [`StudentNet::forward_train_from`] and [`StudentNet::predict_from`] resume
+/// from them without re-running the prefix.
+#[derive(Debug, Clone)]
+pub struct FrozenFeatures {
+    /// [`Stage::ALL`] index of the first stage not yet run.
+    resume_at: usize,
+    /// Main-path activation entering that stage.
+    main: Tensor,
+    /// SB1 output while a later stage still reads it (the SB6 skip).
+    sb1: Option<Tensor>,
+    /// SB2 output while a later stage still reads it (the SB5 skip).
+    sb2: Option<Tensor>,
+    /// Spatial size of the network input.
+    height: usize,
+    width: usize,
+}
+
+impl FrozenFeatures {
+    /// The walk's starting point: the network input itself (shared
+    /// copy-on-write, not copied).
+    fn start(input: &Tensor, height: usize, width: usize) -> Self {
+        FrozenFeatures {
+            resume_at: 0,
+            main: input.clone(),
+            sb1: None,
+            sb2: None,
+            height,
+            width,
+        }
+    }
+
+    /// The first stage a resumed forward pass runs.
+    fn resume_stage(&self) -> Stage {
+        Stage::ALL[self.resume_at]
+    }
+
+    /// Run the stages from `resume_at` up to (excluding) `end` through
+    /// `run`, wiring the skip connections and upsamplings between them.
+    /// Running every stage leaves the full-resolution logits in `main`.
+    fn walk(
+        mut self,
+        end: usize,
+        mut run: impl FnMut(Stage, &Tensor) -> Result<Tensor>,
+    ) -> Result<Self> {
+        for &stage in &Stage::ALL[self.resume_at..end] {
+            let x = match stage {
+                // SB5 reads concat(SB4 output, SB2 output).
+                Stage::Sb5 => {
+                    let sb2 = self.sb2.as_ref().expect("SB2 ran before SB5");
+                    Tensor::concat_channels(&[&self.main, sb2])?
+                }
+                // SB6 reads concat(upsampled SB5 output, SB1 output).
+                Stage::Sb6 => {
+                    let sb1 = self.sb1.as_ref().expect("SB1 ran before SB6");
+                    let up = pool::upsample_nearest(&self.main, 2)?;
+                    Tensor::concat_channels(&[&up, sb1])?
+                }
+                _ => self.main.clone(),
+            };
+            let y = run(stage, &x)?;
+            match stage {
+                Stage::Sb1 => self.sb1 = Some(y.clone()),
+                Stage::Sb2 => self.sb2 = Some(y.clone()),
+                Stage::Sb5 => self.sb2 = None,
+                Stage::Sb6 => self.sb1 = None,
+                _ => {}
+            }
+            self.main = if stage == Stage::Out3 {
+                pool::upsample_nearest(&y, 2)?
+            } else {
+                y
+            };
+        }
+        self.resume_at = end;
+        Ok(self)
+    }
 }
 
 /// The ShadowTutor student network.
@@ -317,6 +413,70 @@ impl StudentNet {
         Ok((h, w))
     }
 
+    /// One stage's layers in training mode when `train`, otherwise in
+    /// cache-free inference mode (stale training caches dropped).
+    fn stage_mode(&mut self, stage: Stage, x: &Tensor, train: bool) -> Result<Tensor> {
+        fn conv_relu(
+            conv: &mut Conv2d,
+            relu: &mut Relu,
+            x: &Tensor,
+            train: bool,
+        ) -> Result<Tensor> {
+            let y = conv.forward_mode(x, train)?;
+            Ok(relu.forward_mode(&y, train))
+        }
+        match stage {
+            Stage::In1 => conv_relu(&mut self.in1, &mut self.relu_in1, x, train),
+            Stage::In2 => conv_relu(&mut self.in2, &mut self.relu_in2, x, train),
+            Stage::Sb1 => self.sb1.forward_mode(x, train),
+            Stage::Sb2 => self.sb2.forward_mode(x, train),
+            Stage::Sb3 => self.sb3.forward_mode(x, train),
+            Stage::Sb4 => self.sb4.forward_mode(x, train),
+            Stage::Sb5 => self.sb5.forward_mode(x, train),
+            Stage::Sb6 => self.sb6.forward_mode(x, train),
+            Stage::Out1 => conv_relu(&mut self.out1, &mut self.relu_out1, x, train),
+            Stage::Out2 => conv_relu(&mut self.out2, &mut self.relu_out2, x, train),
+            Stage::Out3 => self.out3.forward_mode(x, train),
+        }
+    }
+
+    /// One stage's layers in inference mode.
+    fn stage_inference(&self, stage: Stage, x: &Tensor) -> Result<Tensor> {
+        fn conv_relu(conv: &Conv2d, relu: &Relu, x: &Tensor) -> Result<Tensor> {
+            Ok(relu.forward_inference(&conv.forward_inference(x)?))
+        }
+        match stage {
+            Stage::In1 => conv_relu(&self.in1, &self.relu_in1, x),
+            Stage::In2 => conv_relu(&self.in2, &self.relu_in2, x),
+            Stage::Sb1 => self.sb1.forward_inference(x),
+            Stage::Sb2 => self.sb2.forward_inference(x),
+            Stage::Sb3 => self.sb3.forward_inference(x),
+            Stage::Sb4 => self.sb4.forward_inference(x),
+            Stage::Sb5 => self.sb5.forward_inference(x),
+            Stage::Sb6 => self.sb6.forward_inference(x),
+            Stage::Out1 => conv_relu(&self.out1, &self.relu_out1, x),
+            Stage::Out2 => conv_relu(&self.out2, &self.relu_out2, x),
+            Stage::Out3 => self.out3.forward_inference(x),
+        }
+    }
+
+    /// Run the stages frozen under the current freeze point, in inference
+    /// mode, and return their output: the features
+    /// [`StudentNet::forward_train_from`] and [`StudentNet::predict_from`]
+    /// resume from. Under [`FreezePoint::None`] nothing is frozen and the
+    /// features are the input itself.
+    ///
+    /// Frozen stages drop any training caches they hold (left, say, by a
+    /// pretraining run without a freeze point). The features stay valid
+    /// until a frozen stage's weights or statistics change, which no
+    /// optimizer step does.
+    pub fn encode_frozen(&mut self, input: &Tensor) -> Result<FrozenFeatures> {
+        let (h, w) = self.check_input(input, true)?;
+        FrozenFeatures::start(input, h, w).walk(self.freeze.boundary(), |stage, x| {
+            self.stage_mode(stage, x, false)
+        })
+    }
+
     /// Training-mode forward pass producing per-pixel class logits of the
     /// same spatial size as the input.
     ///
@@ -327,35 +487,44 @@ impl StudentNet {
     /// the trained (batch-stat) features diverge from the served (eval-mode)
     /// features the client actually uses. Frozen means frozen: fixed
     /// statistics, identical activations in training and inference mode.
+    ///
+    /// Equal to [`StudentNet::encode_frozen`] followed by
+    /// [`StudentNet::forward_train_from`], which is what it runs.
     pub fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        let (h, w) = self.check_input(input, false)?;
+        self.check_input(input, false)?;
+        let features = self.encode_frozen(input)?;
+        self.forward_train_from(&features)
+    }
+
+    /// Training-mode forward pass of the stages from `features` on, with
+    /// the same logits and backward caches as [`StudentNet::forward_train`]
+    /// on the input the features were encoded from.
+    ///
+    /// The features must come from a point at or before the freeze
+    /// boundary (every trainable stage must run here, to leave its caches
+    /// for the backward pass) and hold a single frame.
+    pub fn forward_train_from(&mut self, features: &FrozenFeatures) -> Result<Tensor> {
+        if features.resume_at > self.freeze.boundary() {
+            return Err(TensorError::InvalidArgument(format!(
+                "features resume at {:?}, past the freeze boundary {:?}",
+                features.resume_stage(),
+                self.freeze
+            )));
+        }
+        if features.main.shape().dim(0) != 1 {
+            return Err(TensorError::InvalidArgument(
+                "student training is per-frame, got a batch of features".into(),
+            ));
+        }
         let freeze = self.freeze;
-        let t = |s: Stage| freeze.trainable(s);
-        let x = self.in1.forward_mode(input, t(Stage::In1))?;
-        let x = self.relu_in1.forward_mode(&x, t(Stage::In1));
-        let x = self.in2.forward_mode(&x, t(Stage::In2))?;
-        let x = self.relu_in2.forward_mode(&x, t(Stage::In2));
-        let sb1_out = self.sb1.forward_mode(&x, t(Stage::Sb1))?;
-        let sb2_out = self.sb2.forward_mode(&sb1_out, t(Stage::Sb2))?;
-        let x = self.sb3.forward_mode(&sb2_out, t(Stage::Sb3))?;
-        let x = self.sb4.forward_mode(&x, t(Stage::Sb4))?;
-        let cat5 = Tensor::concat_channels(&[&x, &sb2_out])?;
-        let x = self.sb5.forward_mode(&cat5, t(Stage::Sb5))?;
-        let x = pool::upsample_nearest(&x, 2)?;
-        let cat6 = Tensor::concat_channels(&[&x, &sb1_out])?;
-        let x = self.sb6.forward_mode(&cat6, t(Stage::Sb6))?;
-        let x = self.out1.forward_mode(&x, t(Stage::Out1))?;
-        let x = self.relu_out1.forward_mode(&x, t(Stage::Out1));
-        let x = self.out2.forward_mode(&x, t(Stage::Out2))?;
-        let x = self.relu_out2.forward_mode(&x, t(Stage::Out2));
-        let logits_half = self.out3.forward_mode(&x, t(Stage::Out3))?;
+        let logits = features.clone().walk(Stage::ALL.len(), |stage, x| {
+            self.stage_mode(stage, x, freeze.trainable(stage))
+        })?;
         self.cache = Some(ForwardCache {
-            sb1_out_channels: sb1_out.shape().dim(1),
-            sb2_out_channels: sb2_out.shape().dim(1),
-            head_h: h / 2,
-            head_w: w / 2,
+            head_h: features.height / 2,
+            head_w: features.width / 2,
         });
-        pool::upsample_nearest(&logits_half, 2)
+        Ok(logits.main)
     }
 
     /// Inference-mode forward pass (running batch-norm statistics, no
@@ -367,26 +536,16 @@ impl StudentNet {
     /// is the forward the batched teacher pool amortizes across co-scheduled
     /// key frames.
     pub fn forward_inference(&self, input: &Tensor) -> Result<Tensor> {
-        self.check_input(input, true)?;
-        let x = self.in1.forward_inference(input)?;
-        let x = self.relu_in1.forward_inference(&x);
-        let x = self.in2.forward_inference(&x)?;
-        let x = self.relu_in2.forward_inference(&x);
-        let sb1_out = self.sb1.forward_inference(&x)?;
-        let sb2_out = self.sb2.forward_inference(&sb1_out)?;
-        let x = self.sb3.forward_inference(&sb2_out)?;
-        let x = self.sb4.forward_inference(&x)?;
-        let cat5 = Tensor::concat_channels(&[&x, &sb2_out])?;
-        let x = self.sb5.forward_inference(&cat5)?;
-        let x = pool::upsample_nearest(&x, 2)?;
-        let cat6 = Tensor::concat_channels(&[&x, &sb1_out])?;
-        let x = self.sb6.forward_inference(&cat6)?;
-        let x = self.out1.forward_inference(&x)?;
-        let x = self.relu_out1.forward_inference(&x);
-        let x = self.out2.forward_inference(&x)?;
-        let x = self.relu_out2.forward_inference(&x);
-        let logits_half = self.out3.forward_inference(&x)?;
-        pool::upsample_nearest(&logits_half, 2)
+        let (h, w) = self.check_input(input, true)?;
+        self.forward_inference_from(&FrozenFeatures::start(input, h, w))
+    }
+
+    /// Inference-mode forward pass of the stages from `features` on.
+    fn forward_inference_from(&self, features: &FrozenFeatures) -> Result<Tensor> {
+        let logits = features
+            .clone()
+            .walk(Stage::ALL.len(), |stage, x| self.stage_inference(stage, x))?;
+        Ok(logits.main)
     }
 
     /// Backward pass from the loss gradient w.r.t. the full-resolution
@@ -400,10 +559,7 @@ impl StudentNet {
         let freeze = self.freeze;
         let trainable = |s: Stage| freeze.trainable(s);
         // Earliest stage we must reach with gradient propagation.
-        let stop_at = match freeze {
-            FreezePoint::None => 0,
-            FreezePoint::TrainFrom(s) => s.index(),
-        };
+        let stop_at = freeze.boundary();
         // Whether gradient needs to flow below a given stage index.
         let need_below = |idx: usize| idx > stop_at;
 
@@ -446,9 +602,10 @@ impl StudentNet {
             Some(g) => g,
             None => return Ok(()),
         };
-        let c_sb5_up = g.shape().dim(1) - cache.sb1_out_channels;
+        let c_sb1 = self.config.c_enc1;
+        let c_sb5_up = g.shape().dim(1) - c_sb1;
         let g_sb5_up = g.slice_channels(0, c_sb5_up)?;
-        let g_sb1_skip = g.slice_channels(c_sb5_up, cache.sb1_out_channels)?;
+        let g_sb1_skip = g.slice_channels(c_sb5_up, c_sb1)?;
         let g_sb5 = pool::upsample_nearest_backward(&g_sb5_up, 2)?;
 
         // SB5: input was concat(SB4 output, SB2 output).
@@ -461,9 +618,10 @@ impl StudentNet {
             Some(g) => g,
             None => return Ok(()),
         };
-        let c_sb4 = g.shape().dim(1) - cache.sb2_out_channels;
+        let c_sb2 = self.config.c_enc2;
+        let c_sb4 = g.shape().dim(1) - c_sb2;
         let g_sb4 = g.slice_channels(0, c_sb4)?;
-        let g_sb2_skip = g.slice_channels(c_sb4, cache.sb2_out_channels)?;
+        let g_sb2_skip = g.slice_channels(c_sb4, c_sb2)?;
 
         // SB4, SB3: guarded like every other stage — under e.g.
         // TrainFrom(Sb4) the pass must stop here (sb3 is frozen, ran in
@@ -603,6 +761,13 @@ impl StudentNet {
     /// `input` (frame-major `N*H*W` indices when the input is batched).
     pub fn predict(&self, input: &Tensor) -> Result<Vec<usize>> {
         let logits = self.forward_inference(input)?;
+        logits.argmax_channels()
+    }
+
+    /// [`StudentNet::predict`] resumed from the input's frozen features:
+    /// the same labels, without re-running the frozen prefix.
+    pub fn predict_from(&self, features: &FrozenFeatures) -> Result<Vec<usize>> {
+        let logits = self.forward_inference_from(features)?;
         logits.argmax_channels()
     }
 
@@ -748,25 +913,39 @@ mod tests {
         // Regression: frozen stages run cache-free in forward_train, so the
         // backward pass must stop at the freeze boundary for *every* choice
         // of TrainFrom stage (TrainFrom(Sb4) used to descend into cache-less
-        // sb3 and error).
-        for stage in Stage::ALL {
+        // sb3 and error). At each freeze point the forward resumed from the
+        // frozen features must also equal the whole forward bit for bit:
+        // logits, parameter gradients and predicted labels.
+        fn grads(net: &mut StudentNet) -> Vec<(String, Vec<f32>)> {
+            let mut out = vec![];
+            let mut v =
+                |p: &mut Param, _t: bool| out.push((p.name.clone(), p.grad.data().to_vec()));
+            net.visit_params(&mut v);
+            out
+        }
+        let freeze_points =
+            std::iter::once(FreezePoint::None).chain(Stage::ALL.map(FreezePoint::TrainFrom));
+        for freeze in freeze_points {
             let mut net = StudentNet::new(StudentConfig::tiny()).unwrap();
-            net.freeze = FreezePoint::TrainFrom(stage);
+            net.freeze = freeze;
             // Nudge the zero-initialised head off zero so gradient actually
             // flows below out3 — otherwise the frozen/trainable assertions
             // are vacuous (everything below the head would get zero grad).
+            // Unequal weights per class keep the predicted labels from all
+            // tying at class 0.
             let mut nudge = |p: &mut Param, _t: bool| {
                 if p.name == "out3.weight" {
-                    for v in p.value.data_mut() {
-                        *v = 0.05;
+                    for (i, v) in p.value.data_mut().iter_mut().enumerate() {
+                        *v = 0.05 * ((i % 5) as f32 - 2.0);
                     }
                 }
             };
             net.visit_params(&mut nudge);
+            let mut resumed = net.clone();
             let x = input(16, 16, 9);
             let y = net.forward_train(&x).unwrap();
             net.backward(&Tensor::ones(y.shape().clone()))
-                .unwrap_or_else(|e| panic!("backward failed at TrainFrom({stage:?}): {e}"));
+                .unwrap_or_else(|e| panic!("backward failed at {freeze:?}: {e}"));
             let mut frozen_grad = 0.0f32;
             let mut trainable_grad = 0.0f32;
             let mut v = |p: &mut Param, t: bool| {
@@ -777,13 +956,27 @@ mod tests {
                 }
             };
             net.visit_params(&mut v);
-            assert_eq!(
-                frozen_grad, 0.0,
-                "frozen grad leaked at TrainFrom({stage:?})"
-            );
+            assert_eq!(frozen_grad, 0.0, "frozen grad leaked at {freeze:?}");
+            assert!(trainable_grad > 0.0, "no trainable grad at {freeze:?}");
+
+            let features = resumed.encode_frozen(&x).unwrap();
+            assert_eq!(features.resume_at, freeze.boundary());
+            let y_resumed = resumed.forward_train_from(&features).unwrap();
+            assert_eq!(y.data(), y_resumed.data(), "logits differ at {freeze:?}");
+            resumed.backward(&Tensor::ones(y.shape().clone())).unwrap();
             assert!(
-                trainable_grad > 0.0,
-                "no trainable grad at TrainFrom({stage:?})"
+                grads(&mut net) == grads(&mut resumed),
+                "grads differ at {freeze:?}"
+            );
+            let labels = net.predict(&x).unwrap();
+            assert!(
+                labels.iter().any(|&c| c != labels[0]),
+                "one label at {freeze:?}"
+            );
+            assert_eq!(
+                labels,
+                resumed.predict_from(&features).unwrap(),
+                "labels differ at {freeze:?}"
             );
         }
     }
@@ -865,6 +1058,21 @@ mod tests {
         let labels = net.predict(&x).unwrap();
         assert_eq!(labels.len(), 16 * 16);
         assert!(labels.iter().all(|&c| c < 9));
+    }
+
+    #[test]
+    fn stage_index_is_position_in_all() {
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage.index(), i, "{stage:?}");
+        }
+    }
+
+    #[test]
+    fn resuming_past_the_freeze_boundary_is_rejected() {
+        let mut net = StudentNet::new(StudentConfig::tiny()).unwrap();
+        let features = net.encode_frozen(&input(16, 16, 8)).unwrap();
+        net.freeze = FreezePoint::None;
+        assert!(net.forward_train_from(&features).is_err());
     }
 
     #[test]
